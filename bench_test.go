@@ -17,6 +17,7 @@ import (
 
 	"assignmentmotion/internal/aht"
 	"assignmentmotion/internal/am"
+	"assignmentmotion/internal/analysis"
 	"assignmentmotion/internal/arena"
 	"assignmentmotion/internal/bitvec"
 	"assignmentmotion/internal/cfggen"
@@ -27,12 +28,14 @@ import (
 	"assignmentmotion/internal/figures"
 	"assignmentmotion/internal/flush"
 	"assignmentmotion/internal/gvn"
+	"assignmentmotion/internal/incr"
 	"assignmentmotion/internal/interp"
 	"assignmentmotion/internal/ir"
 	"assignmentmotion/internal/lcm"
 	"assignmentmotion/internal/metrics"
 	"assignmentmotion/internal/mr"
 	"assignmentmotion/internal/parse"
+	"assignmentmotion/internal/pass"
 	"assignmentmotion/internal/pde"
 	"assignmentmotion/internal/printer"
 	"assignmentmotion/internal/rae"
@@ -427,6 +430,37 @@ func BenchmarkIncrementalEdit(b *testing.B) {
 		b.ReportMetric(float64(total), "regions")
 		b.ReportMetric(float64(reused), "reused")
 	})
+}
+
+// BenchmarkTryWarmRefused measures a region-tier miss, the common case
+// of a cold request on an incremental engine: a never-seen Size-40 graph
+// tried against 8 recorded, unrelated heads, every one of which refuses.
+// TryWarm builds the source's post-init view once and checks every head
+// against it, so the attempt costs about one Initialize, not eight.
+func BenchmarkTryWarmRefused(b *testing.B) {
+	const cfg = "bench"
+	d := incr.NewDriver(nil)
+	for seed := int64(101); seed <= 108; seed++ {
+		g := cfggen.Structured(seed, cfggen.Config{Size: 40})
+		rec := incr.NewRecorder(g.Fingerprint().String(), cfg)
+		s := analysis.NewSession()
+		var res core.Result
+		_, err := pass.New(core.PhasesObserved(&res, rec.Hooks(), rec.FlushObserver())...).RunWith(nil, g, s)
+		s.Close()
+		if err != nil || rec.Manifest() == nil {
+			b.Fatalf("recording head %d: %v", seed, err)
+		}
+		d.Record(cfg, rec.Manifest())
+	}
+	src := cfggen.Structured(1, cfggen.Config{Size: 40})
+	fp := src.Fingerprint().String()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := d.TryWarm(cfg, fp, src); ok {
+			b.Fatal("an unrelated head certified a replay")
+		}
+	}
 }
 
 // BenchmarkFingerprint measures the content-address hash that keys the

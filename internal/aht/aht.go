@@ -23,6 +23,7 @@ import (
 	"fmt"
 
 	"assignmentmotion/internal/analysis"
+	"assignmentmotion/internal/arena"
 	"assignmentmotion/internal/bitvec"
 	"assignmentmotion/internal/dataflow"
 	"assignmentmotion/internal/ir"
@@ -190,12 +191,7 @@ func ApplyMasked(g *ir.Graph, mask func(ir.AssignPattern) bool) bool {
 // sequences with it.
 func (info *Info) OrderedIDs(v bitvec.Vec) []int {
 	ids := v.Bits()
-	rank := info.occRank
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && rank[ids[j]] < rank[ids[j-1]]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
+	sortByRank(ids, info.occRank)
 	return ids
 }
 
@@ -236,31 +232,18 @@ func ApplyObservedWith(g *ir.Graph, s *analysis.Session, mask func(ir.AssignPatt
 		onInfo(info)
 	}
 
-	// Collect per-block prepends. Exit-inserts of branch nodes become
-	// prepends of their successors, ordered before the successors' own
-	// entry-inserts (the edge point precedes the node entry).
-	prepend := make([][]ir.Instr, len(g.Blocks))
-	appendAtEnd := make([][]ir.Instr, len(g.Blocks))
-
+	// Exit-inserts of branch nodes become prepends of their successors,
+	// ordered before the successors' own entry-inserts (the edge point
+	// precedes the node entry). Edge splitting guarantees each such
+	// successor has the branch node as its only predecessor.
 	for i, b := range g.Blocks {
-		if info.XInsert[i].Any() {
-			instrs := patternsToInstrs(info.U, info.XInsert[i], info.occRank)
-			if _, branch := b.Cond(); branch {
-				for _, s := range b.Succs {
-					if len(g.Block(s).Preds) != 1 {
-						panic(fmt.Sprintf("aht: X-INSERT at branch node %s with unsplit critical edge to %s",
-							b.Name, g.Block(s).Name))
-					}
-					prepend[int(s)] = append(prepend[int(s)], instrs...)
+		if _, branch := b.Cond(); branch && info.XInsert[i].Any() {
+			for _, s := range b.Succs {
+				if len(g.Block(s).Preds) != 1 {
+					panic(fmt.Sprintf("aht: X-INSERT at branch node %s with unsplit critical edge to %s",
+						b.Name, g.Block(s).Name))
 				}
-			} else {
-				appendAtEnd[i] = append(appendAtEnd[i], instrs...)
 			}
-		}
-	}
-	for i := range g.Blocks {
-		if info.NInsert[i].Any() {
-			prepend[i] = append(prepend[i], patternsToInstrs(info.U, info.NInsert[i], info.occRank)...)
 		}
 	}
 
@@ -269,9 +252,21 @@ func ApplyObservedWith(g *ir.Graph, s *analysis.Session, mask func(ir.AssignPatt
 	if onDone != nil {
 		changedBlocks = make([]bool, len(g.Blocks))
 	}
+	// Every touched block is rebuilt in the session's scratch slice; only
+	// a block whose instructions actually change gets a fresh slice.
+	scratch := s.InstrScratch()
 	for i, b := range g.Blocks {
+		var edge bitvec.Vec // X-INSERT of a branch predecessor, if any
+		if len(b.Preds) == 1 {
+			p := int(b.Preds[0])
+			if _, branch := g.Blocks[p].Cond(); branch && info.XInsert[p].Any() {
+				edge = info.XInsert[p]
+			}
+		}
+		_, branch := b.Cond()
+		atEnd := !branch && info.XInsert[i].Any()
 		// Untouched block: nothing to insert, no candidate to remove.
-		if len(prepend[i]) == 0 && len(appendAtEnd[i]) == 0 && !info.LocHoistable[i].Any() {
+		if edge.Len() == 0 && !info.NInsert[i].Any() && !atEnd && !info.LocHoistable[i].Any() {
 			continue
 		}
 		// Remove hoisting candidates (at most one per pattern per block).
@@ -279,21 +274,28 @@ func ApplyObservedWith(g *ir.Graph, s *analysis.Session, mask func(ir.AssignPatt
 		info.LocHoistable[i].ForEach(func(id int) {
 			drop.Set(info.candidates[i][id])
 		})
-		next := make([]ir.Instr, 0, len(prepend[i])+len(b.Instrs)+len(appendAtEnd[i]))
-		next = append(next, prepend[i]...)
-		for k, in := range b.Instrs {
+		next := (*scratch)[:0]
+		if edge.Len() > 0 {
+			next = info.appendInserts(next, edge, ar)
+		}
+		next = info.appendInserts(next, info.NInsert[i], ar)
+		for k := range b.Instrs {
 			if !drop.Get(k) {
-				next = append(next, in)
+				next = append(next, b.Instrs[k])
 			}
 		}
-		next = append(next, appendAtEnd[i]...)
-		if !sameInstrs(next, b.Instrs) {
-			changed = true
-			if changedBlocks != nil {
-				changedBlocks[i] = true
-			}
+		if atEnd {
+			next = info.appendInserts(next, info.XInsert[i], ar)
 		}
-		b.Instrs = next
+		*scratch = next
+		if sameInstrs(next, b.Instrs) {
+			continue
+		}
+		changed = true
+		if changedBlocks != nil {
+			changedBlocks[i] = true
+		}
+		b.Instrs = append([]ir.Instr(nil), next...)
 	}
 	g.Normalize()
 	if onDone != nil {
@@ -319,20 +321,25 @@ func sameInstrs(a, b []ir.Instr) bool {
 	return true
 }
 
-// patternsToInstrs materializes the patterns set in v, ordered by first
-// occurrence in the current graph (see Info.occRank). Insertion sort: the
-// sets are tiny and sort.Slice's reflection allocates.
-func patternsToInstrs(u *ir.PatternSet, v bitvec.Vec, rank []int) []ir.Instr {
-	ids := v.Bits()
+// appendInserts appends an instance of every pattern set in v to dst,
+// ordered by first occurrence in the current graph (see Info.occRank).
+func (info *Info) appendInserts(dst []ir.Instr, v bitvec.Vec, ar *arena.Arena) []ir.Instr {
+	ids := ar.Ints(v.PopCount())[:0]
+	v.ForEach(func(id int) { ids = append(ids, id) })
+	sortByRank(ids, info.occRank)
+	for _, id := range ids {
+		p := info.U.Pattern(id)
+		dst = append(dst, ir.NewAssign(p.LHS, p.RHS))
+	}
+	return dst
+}
+
+// sortByRank orders pattern IDs by rank. Insertion sort: the sets are
+// tiny and sort.Slice's reflection allocates.
+func sortByRank(ids, rank []int) {
 	for i := 1; i < len(ids); i++ {
 		for j := i; j > 0 && rank[ids[j]] < rank[ids[j-1]]; j-- {
 			ids[j], ids[j-1] = ids[j-1], ids[j]
 		}
 	}
-	out := make([]ir.Instr, 0, len(ids))
-	for _, id := range ids {
-		p := u.Pattern(id)
-		out = append(out, ir.NewAssign(p.LHS, p.RHS))
-	}
-	return out
 }

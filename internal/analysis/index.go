@@ -136,8 +136,8 @@ func (px *PatternIndex) OrBlocked(in *ir.Instr, dst bitvec.Vec) {
 			}
 		}
 	case ir.KindCond:
-		px.orUseBlocks(&in.CondL, dst)
-		px.orUseBlocks(&in.CondR, dst)
+		px.orUseBlocks(&in.Cond.L, dst)
+		px.orUseBlocks(&in.Cond.R, dst)
 	}
 }
 

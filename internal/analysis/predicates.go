@@ -26,7 +26,7 @@ func instrUsesVar(in *ir.Instr, v ir.Var) bool {
 			}
 		}
 	case ir.KindCond:
-		return termUsesVar(&in.CondL, v) || termUsesVar(&in.CondR, v)
+		return termUsesVar(&in.Cond.L, v) || termUsesVar(&in.Cond.R, v)
 	}
 	return false
 }

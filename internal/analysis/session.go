@@ -56,6 +56,8 @@ type Session struct {
 	regionsValid  bool
 
 	solverWorkers int
+
+	instrs []ir.Instr // see InstrScratch
 }
 
 // parallelSolveMinNodes is the graph size below which intra-graph
@@ -90,6 +92,18 @@ func (s *Session) Arena() *arena.Arena {
 		return nil
 	}
 	return s.ar
+}
+
+// InstrScratch returns the session's reusable instruction buffer. A pass
+// that rebuilds a block before deciding whether to keep it builds into
+// this buffer and stores it back grown, so a warmed-up session rebuilds
+// blocks without allocating. The contents are garbage between uses. A nil
+// session yields a fresh buffer.
+func (s *Session) InstrScratch() *[]ir.Instr {
+	if s == nil {
+		return new([]ir.Instr)
+	}
+	return &s.instrs
 }
 
 // DataflowStats returns the session's solver-work tally, which every

@@ -177,16 +177,16 @@ func Compile(g *ir.Graph) (*Program, error) {
 				if !last || len(b.Succs) != 2 {
 					return nil, fmt.Errorf("bytecode: block %s: condition not the final instruction of a two-successor block", b.Name)
 				}
-				l, err := term(in.CondL)
+				l, err := term(in.Cond.L)
 				if err != nil {
 					return nil, err
 				}
-				r, err := term(in.CondR)
+				r, err := term(in.Cond.R)
 				if err != nil {
 					return nil, err
 				}
 				var rl rop
-				switch in.CondOp {
+				switch in.Cond.Op {
 				case ir.OpLT:
 					rl = ropLT
 				case ir.OpLE:
@@ -200,7 +200,7 @@ func Compile(g *ir.Graph) (*Program, error) {
 				case ir.OpNE:
 					rl = ropNE
 				default:
-					return nil, fmt.Errorf("bytecode: unknown relational operator %q", in.CondOp)
+					return nil, fmt.Errorf("bytecode: unknown relational operator %q", in.Cond.Op)
 				}
 				fixups = append(fixups, fixup{pc: len(p.code), then: b.Succs[0], orElse: b.Succs[1], cond: true})
 				p.code = append(p.code, instr{op: opCond, rel: rl, l: l, r: r})

@@ -194,10 +194,10 @@ func propagate(g *ir.Graph, s *analysis.Session, prog *analysis.Prog, pats []cop
 					replaced += c
 				}
 			case ir.KindCond:
-				l, cl := substTerm(idx, in.CondL)
-				r, cr := substTerm(idx, in.CondR)
+				l, cl := substTerm(idx, in.Cond.L)
+				r, cr := substTerm(idx, in.Cond.R)
 				if cl+cr > 0 {
-					b.Instrs[k] = ir.NewCond(in.CondOp, l, r)
+					b.Instrs[k] = ir.NewCond(in.Cond.Op, l, r)
 					replaced += cl + cr
 				}
 			}
@@ -224,16 +224,16 @@ func fold(g *ir.Graph) int {
 					folded++
 				}
 			case ir.KindCond:
-				l, okL := foldTerm(in.CondL)
-				r, okR := foldTerm(in.CondR)
+				l, okL := foldTerm(in.Cond.L)
+				r, okR := foldTerm(in.Cond.R)
 				if okL || okR {
 					if !okL {
-						l = in.CondL
+						l = in.Cond.L
 					}
 					if !okR {
-						r = in.CondR
+						r = in.Cond.R
 					}
-					b.Instrs[k] = ir.NewCond(in.CondOp, l, r)
+					b.Instrs[k] = ir.NewCond(in.Cond.Op, l, r)
 					if okL {
 						folded++
 					}

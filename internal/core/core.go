@@ -222,7 +222,7 @@ func Initialize(g *ir.Graph) int {
 				next = append(next, ir.NewAssign(h, in.RHS), ir.NewAssign(in.LHS, ir.VarTerm(h)))
 				decomposed++
 			case ir.KindCond:
-				l, r := in.CondL, in.CondR
+				l, r := in.Cond.L, in.Cond.R
 				if !l.Trivial() && !condClobbers(bi, k, in, l) {
 					h := g.TempFor(l)
 					next = append(next, ir.NewAssign(h, l))
@@ -235,7 +235,7 @@ func Initialize(g *ir.Graph) int {
 					r = ir.VarTerm(h)
 					decomposed++
 				}
-				next = append(next, ir.NewCond(in.CondOp, l, r))
+				next = append(next, ir.NewCond(in.Cond.Op, l, r))
 			default:
 				next = append(next, in)
 			}

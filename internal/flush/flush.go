@@ -343,7 +343,7 @@ func CanReconstruct(in ir.Instr, h ir.Var) bool {
 	case ir.KindAssign:
 		return in.RHS.Trivial() && !in.RHS.Args[0].IsConst && in.RHS.Args[0].Var == h
 	case ir.KindCond:
-		return trivialVarSide(in.CondL, h) || trivialVarSide(in.CondR, h)
+		return trivialVarSide(in.Cond.L, h) || trivialVarSide(in.Cond.R, h)
 	}
 	return false
 }
@@ -358,14 +358,14 @@ func Reconstruct(in ir.Instr, h ir.Var, expr ir.Term) ir.Instr {
 	case ir.KindAssign:
 		return ir.NewAssign(in.LHS, expr)
 	case ir.KindCond:
-		l, r := in.CondL, in.CondR
+		l, r := in.Cond.L, in.Cond.R
 		if trivialVarSide(l, h) {
 			l = expr
 		}
 		if trivialVarSide(r, h) {
 			r = expr
 		}
-		return ir.NewCond(in.CondOp, l, r)
+		return ir.NewCond(in.Cond.Op, l, r)
 	}
 	return in
 }

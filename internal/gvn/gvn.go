@@ -340,8 +340,8 @@ func literalsOf(g *ir.Graph) []int64 {
 					}
 				}
 			case ir.KindCond:
-				addTerm(in.CondL)
-				addTerm(in.CondR)
+				addTerm(in.Cond.L)
+				addTerm(in.Cond.R)
 			}
 		}
 	}

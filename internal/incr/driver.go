@@ -145,10 +145,14 @@ func (d *Driver) Record(cfg string, m *Manifest) {
 // TryWarm attempts a warm replay of src (whose fingerprint is fp)
 // against the recorded predecessors of cfg, most recent first. ok=false
 // means no predecessor certified — the caller runs cold.
+//
+// The source's post-init view is built once per attempt, on the first
+// head worth trying, and shared read-only by every head after it.
 func (d *Driver) TryWarm(cfg, fp string, src *ir.Graph) (*WarmResult, bool) {
 	d.mu.Lock()
 	heads := d.loadHeads(cfg)
 	d.mu.Unlock()
+	var view *postInit
 	for _, h := range heads {
 		if h == fp {
 			// An identical graph is the memory/disk tiers' business.
@@ -167,7 +171,13 @@ func (d *Driver) TryWarm(cfg, fp string, src *ir.Graph) (*WarmResult, bool) {
 			}
 			d.decPut(key, man)
 		}
-		if res, ok := Replay(src, man); ok {
+		if view == nil {
+			var ok bool
+			if view, ok = newPostInit(src); !ok {
+				return nil, false
+			}
+		}
+		if res, ok := view.replay(man); ok {
 			return res, true
 		}
 	}

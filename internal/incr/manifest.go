@@ -27,7 +27,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"io"
 	"strconv"
 	"strings"
 	"sync"
@@ -225,11 +224,20 @@ type varEncoder struct{ g *ir.Graph }
 
 func (e varEncoder) enc(v ir.Var) string {
 	if e.g.IsTemp(v) {
-		if expr, ok := e.g.TempExpr(v); ok {
-			return tauPrefix + expr.Key() + ")"
-		}
+		return string(e.appendVar(nil, v))
 	}
 	return string(v)
+}
+
+// appendVar appends v's temp-canonical name (enc) to dst.
+func (e varEncoder) appendVar(dst []byte, v ir.Var) []byte {
+	if e.g.IsTemp(v) {
+		if expr, ok := e.g.TempExpr(v); ok {
+			dst = append(dst, tauPrefix...)
+			return append(expr.AppendKey(dst), ')')
+		}
+	}
+	return append(dst, v...)
 }
 
 func (e varEncoder) operand(o ir.Operand) OpRec {
@@ -247,73 +255,76 @@ func (e varEncoder) pattern(p ir.AssignPattern) PatternRec {
 	return rec
 }
 
-func (e varEncoder) writeOperand(w io.Writer, o ir.Operand) {
+func (e varEncoder) appendOperand(dst []byte, o ir.Operand) []byte {
 	if o.IsConst {
-		io.WriteString(w, strconv.FormatInt(o.Const, 10))
-		return
+		return strconv.AppendInt(dst, o.Const, 10)
 	}
-	io.WriteString(w, e.enc(o.Var))
+	return e.appendVar(dst, o.Var)
 }
 
-func (e varEncoder) writeTerm(w io.Writer, t ir.Term) {
-	e.writeOperand(w, t.Args[0])
+func (e varEncoder) appendTerm(dst []byte, t ir.Term) []byte {
+	dst = e.appendOperand(dst, t.Args[0])
 	if !t.Trivial() {
-		io.WriteString(w, string(t.Op))
-		e.writeOperand(w, t.Args[1])
+		dst = append(dst, t.Op...)
+		dst = e.appendOperand(dst, t.Args[1])
 	}
+	return dst
 }
 
-func (e varEncoder) writeInstr(w io.Writer, in ir.Instr) {
+func (e varEncoder) appendInstr(dst []byte, in *ir.Instr) []byte {
 	switch in.Kind {
 	case ir.KindSkip:
-		io.WriteString(w, "skip")
+		dst = append(dst, "skip"...)
 	case ir.KindAssign:
-		io.WriteString(w, e.enc(in.LHS))
-		io.WriteString(w, ":=")
-		e.writeTerm(w, in.RHS)
+		dst = e.appendVar(dst, in.LHS)
+		dst = append(dst, ":="...)
+		dst = e.appendTerm(dst, in.RHS)
 	case ir.KindOut:
-		io.WriteString(w, "out(")
+		dst = append(dst, "out("...)
 		for i, a := range in.Args {
 			if i > 0 {
-				io.WriteString(w, ",")
+				dst = append(dst, ',')
 			}
-			e.writeOperand(w, a)
+			dst = e.appendOperand(dst, a)
 		}
-		io.WriteString(w, ")")
+		dst = append(dst, ')')
 	case ir.KindCond:
-		e.writeTerm(w, in.CondL)
-		io.WriteString(w, string(in.CondOp))
-		e.writeTerm(w, in.CondR)
+		dst = e.appendTerm(dst, in.Cond.L)
+		dst = append(dst, in.Cond.Op...)
+		dst = e.appendTerm(dst, in.Cond.R)
 	}
+	return dst
 }
 
 // RegionSums computes the temp-canonical content digest of every region:
 // each member block's slice index, instructions (temps named by their
 // bound expression), and successor indices. Equal digests mean the
 // regions' content is identical up to the global temp numbering shift an
-// edit elsewhere induces.
+// edit elsewhere induces. Each block is serialized into one reused
+// buffer and written to one reused SHA-256 state.
 func RegionSums(g *ir.Graph, rs *ir.RegionSet) []string {
 	enc := varEncoder{g: g}
 	sums := make([]string, rs.Len())
+	h := sha256.New()
+	var buf []byte
+	var sum [sha256.Size]byte
 	for r, region := range rs.Regions {
-		h := sha256.New()
+		h.Reset()
 		for _, id := range region {
 			b := g.Block(id)
-			io.WriteString(h, "b")
-			io.WriteString(h, strconv.Itoa(int(id)))
-			io.WriteString(h, "|")
+			buf = strconv.AppendInt(append(buf[:0], 'b'), int64(id), 10)
+			buf = append(buf, '|')
 			for k := range b.Instrs {
-				enc.writeInstr(h, b.Instrs[k])
-				io.WriteString(h, ";")
+				buf = append(enc.appendInstr(buf, &b.Instrs[k]), ';')
 			}
-			io.WriteString(h, "->")
+			buf = append(buf, "->"...)
 			for _, s := range b.Succs {
-				io.WriteString(h, strconv.Itoa(int(s)))
-				io.WriteString(h, ",")
+				buf = append(strconv.AppendInt(buf, int64(s), 10), ',')
 			}
-			io.WriteString(h, "\n")
+			buf = append(buf, '\n')
+			h.Write(buf)
 		}
-		sums[r] = hex.EncodeToString(h.Sum(nil))
+		sums[r] = hex.EncodeToString(h.Sum(sum[:0]))
 	}
 	return sums
 }

@@ -34,26 +34,65 @@ type WarmResult struct {
 // be certified — the caller falls back to the cold path, so a false here
 // costs time, never correctness.
 func Replay(src *ir.Graph, man *Manifest) (*WarmResult, bool) {
+	view, ok := newPostInit(src)
+	if !ok {
+		return nil, false
+	}
+	return view.replay(man)
+}
+
+// postInit is the post-init view of one warm attempt's source: the graph
+// after SplitCriticalEdges and Initialize, its region decomposition and
+// its temp-canonical region digests. A warm attempt builds it once and
+// checks every recorded head against it. Its graph is never written:
+// only a head that passes the structural and digest checks replays, on
+// a clone. A view belongs to one goroutine.
+type postInit struct {
+	g          *ir.Graph
+	split      int
+	decomposed int
+	rs         *ir.RegionSet // nil until regions first runs
+	sums       []string
+}
+
+// newPostInit builds the post-init view of src. ok=false means no head
+// can replay src: τ-canonical naming is only bijective on temp-free
+// sources.
+func newPostInit(src *ir.Graph) (*postInit, bool) {
 	if len(src.Temps()) > 0 {
-		// τ-canonical naming is only bijective on temp-free sources.
 		return nil, false
 	}
 	g := src.Clone()
 	split := g.SplitCriticalEdges()
 	decomposed := core.Initialize(g)
+	return &postInit{g: g, split: split, decomposed: decomposed}, true
+}
 
+// regions returns the view's region decomposition and digests, computed
+// on first use: a head whose block structure differs never needs them.
+func (view *postInit) regions() (*ir.RegionSet, []string) {
+	if view.rs == nil {
+		view.rs = ir.Regionize(view.g, 0)
+		view.sums = RegionSums(view.g, view.rs)
+	}
+	return view.rs, view.sums
+}
+
+// replay is Replay against the shared view; it never writes the view's
+// graph.
+func (view *postInit) replay(man *Manifest) (*WarmResult, bool) {
 	// Structural certificate: the edit must not have changed the
 	// post-init shape the recording is expressed in.
-	if len(g.Blocks) != man.NBlocks || int(g.Entry) != man.Entry || int(g.Exit) != man.Exit ||
+	if len(view.g.Blocks) != man.NBlocks || int(view.g.Entry) != man.Entry || int(view.g.Exit) != man.Exit ||
 		len(man.Succs) != man.NBlocks {
 		return nil, false
 	}
-	for i, b := range g.Blocks {
+	for i, b := range view.g.Blocks {
 		if !eqInts(nodeInts(b.Succs), man.Succs[i]) {
 			return nil, false
 		}
 	}
-	rs := ir.Regionize(g, 0)
+	rs, sums := view.regions()
 	if rs.Len() != len(man.Regions) || len(man.Sums) != rs.Len() {
 		return nil, false
 	}
@@ -66,7 +105,6 @@ func Replay(src *ir.Graph, man *Manifest) (*WarmResult, bool) {
 		return nil, false
 	}
 
-	sums := RegionSums(g, rs)
 	dirty := -1
 	for r := range sums {
 		if sums[r] != man.Sums[r] {
@@ -77,6 +115,7 @@ func Replay(src *ir.Graph, man *Manifest) (*WarmResult, bool) {
 		}
 	}
 
+	g := view.g.Clone()
 	rp := &replayer{g: g, man: man, rs: rs, dirty: dirty}
 	if !rp.prepare() {
 		return nil, false
@@ -131,8 +170,8 @@ func Replay(src *ir.Graph, man *Manifest) (*WarmResult, bool) {
 	}
 	return &WarmResult{
 		Graph:         g,
-		Decomposed:    decomposed,
-		SplitEdges:    split,
+		Decomposed:    view.decomposed,
+		SplitEdges:    view.split,
 		AMIterations:  man.K,
 		Eliminated:    eliminated,
 		Flush:         fst,
@@ -749,8 +788,8 @@ func remapInstr(from *ir.Graph, liveTemps map[string]ir.Var, in ir.Instr) (ir.In
 			out.Args[i] = mapOperand(out.Args[i])
 		}
 	case ir.KindCond:
-		out.CondL = mapTerm(in.CondL)
-		out.CondR = mapTerm(in.CondR)
+		// The condition is shared with the recording: build a new one.
+		out = ir.NewCond(in.Cond.Op, mapTerm(in.Cond.L), mapTerm(in.Cond.R))
 	}
 	return out, ok
 }

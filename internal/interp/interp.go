@@ -111,13 +111,13 @@ func RunWith(g *ir.Graph, init map[ir.Var]int64, maxSteps int, opts Options) Res
 					res.Trace = append(res.Trace, evalOperand(o, env))
 				}
 			case ir.KindCond:
-				l, trapL := evalTermOpt(in.CondL, env, &res.Counts, opts)
-				r, trapR := evalTermOpt(in.CondR, env, &res.Counts, opts)
+				l, trapL := evalTermOpt(in.Cond.L, env, &res.Counts, opts)
+				r, trapR := evalTermOpt(in.Cond.R, env, &res.Counts, opts)
 				if trapL || trapR {
 					res.Trapped = true
 					return res
 				}
-				takeThen = evalRel(in.CondOp, l, r)
+				takeThen = evalRel(in.Cond.Op, l, r)
 			}
 		}
 		switch len(b.Succs) {

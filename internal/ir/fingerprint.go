@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -38,12 +39,44 @@ func (f Fingerprint) Short() string { return f.String()[:12] }
 // digests the incremental artifact store diffs against.
 func (g *Graph) Fingerprint() Fingerprint {
 	order, rank := g.canonicalOrder()
-	_, digests := g.RegionDigests()
-
+	rs := regionize(g, 0, order)
+	// One SHA-256 state serves the region digests and then the whole.
 	h := sha256.New()
-	fmt.Fprintf(h, "entry %d exit %d\n", rank[g.Entry], rank[g.Exit])
-	for i, d := range digests {
-		fmt.Fprintf(h, "region %d %s\n", i, d)
+	sums := g.regionSums(h, rs, rank)
+
+	h.Reset()
+	buf := append(make([]byte, 0, 128), "entry "...)
+	buf = strconv.AppendInt(buf, int64(rank[g.Entry]), 10)
+	buf = append(buf, " exit "...)
+	buf = strconv.AppendInt(buf, int64(rank[g.Exit]), 10)
+	buf = append(buf, '\n')
+	h.Write(buf)
+	for i := 0; i < rs.Len(); i++ {
+		buf = strconv.AppendInt(append(buf[:0], "region "...), int64(i), 10)
+		buf = hex.AppendEncode(append(buf, ' '), sums[i*sha256.Size:(i+1)*sha256.Size])
+		buf = append(buf, '\n')
+		h.Write(buf)
+	}
+	// Temporary bindings are semantic state (IsTemp / TempExpr steer the
+	// phases), so occurring temporaries contribute their bound patterns.
+	for _, v := range g.occurringTemps(order) {
+		e, _ := g.TempExpr(v)
+		buf = append(append(buf[:0], "temp "...), v...)
+		buf = e.AppendKey(append(buf, '='))
+		buf = append(buf, '\n')
+		h.Write(buf)
+	}
+
+	var f Fingerprint
+	h.Sum(f[:0])
+	return f
+}
+
+// occurringTemps returns the registered temporaries occurring in the
+// blocks of order, sorted by name.
+func (g *Graph) occurringTemps(order []*Block) []Var {
+	if len(g.exprByTemp) == 0 {
+		return nil
 	}
 	var temps []Var
 	seen := map[Var]bool{}
@@ -65,17 +98,8 @@ func (g *Graph) Fingerprint() Fingerprint {
 			}
 		}
 	}
-	// Temporary bindings are semantic state (IsTemp / TempExpr steer the
-	// phases), so occurring temporaries contribute their bound patterns.
 	sort.Slice(temps, func(i, j int) bool { return temps[i] < temps[j] })
-	for _, v := range temps {
-		e, _ := g.TempExpr(v)
-		fmt.Fprintf(h, "temp %s=%s\n", v, e.Key())
-	}
-
-	var f Fingerprint
-	h.Sum(f[:0])
-	return f
+	return temps
 }
 
 // FingerprintString is a debugging aid: the hex fingerprint plus a terse

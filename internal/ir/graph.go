@@ -2,9 +2,7 @@ package ir
 
 import (
 	"fmt"
-	"io"
 	"sort"
-	"strings"
 )
 
 // NodeID identifies a basic block within one Graph. IDs are dense indices
@@ -256,35 +254,36 @@ func (g *Graph) Normalize() *Graph {
 // the motion passes no longer re-encode the graph to detect change; they
 // use the precise change signals of aht.Apply and rae elimination counts.)
 func (g *Graph) Encode() string {
-	var sb strings.Builder
-	writeBlocksCanon(&sb, g.Blocks, func(id NodeID) string { return g.Block(id).Name })
-	return sb.String()
+	name := func(dst []byte, id NodeID) []byte { return append(dst, g.Block(id).Name...) }
+	var buf []byte
+	for _, b := range g.Blocks {
+		buf = appendBlockCanon(buf, b, name)
+	}
+	return string(buf)
 }
 
-// writeBlocksCanon writes the shared canonical block rendering —
-// "name[instr;instr]->succ,succ\n" per block, in the given order, naming
-// blocks via name — to w. It is the single serialization used by both
-// Encode (declaration order, source names) and Fingerprint (canonical DFS
-// order, rank names), so the printer and the cache key cannot drift.
-func writeBlocksCanon(w io.Writer, blocks []*Block, name func(NodeID) string) {
-	for _, b := range blocks {
-		io.WriteString(w, name(b.ID))
-		io.WriteString(w, "[")
-		for i, in := range b.Instrs {
-			if i > 0 {
-				io.WriteString(w, ";")
-			}
-			io.WriteString(w, in.Key())
+// appendBlockCanon appends the shared canonical block rendering —
+// "name[instr;instr]->succ,succ\n" — to dst, naming blocks via name. It
+// is the single serialization used by both Encode (declaration order,
+// source names) and Fingerprint (canonical DFS order, rank names), so the
+// printer and the cache key cannot drift.
+func appendBlockCanon(dst []byte, b *Block, name func([]byte, NodeID) []byte) []byte {
+	dst = name(dst, b.ID)
+	dst = append(dst, '[')
+	for i := range b.Instrs {
+		if i > 0 {
+			dst = append(dst, ';')
 		}
-		io.WriteString(w, "]->")
-		for i, s := range b.Succs {
-			if i > 0 {
-				io.WriteString(w, ",")
-			}
-			io.WriteString(w, name(s))
-		}
-		io.WriteString(w, "\n")
+		dst = b.Instrs[i].AppendKey(dst)
 	}
+	dst = append(dst, "]->"...)
+	for i, s := range b.Succs {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = name(dst, s)
+	}
+	return append(dst, '\n')
 }
 
 // Clone returns a deep copy of g sharing no mutable state.

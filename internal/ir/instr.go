@@ -25,6 +25,11 @@ const (
 
 // Instr is a single instruction. Instructions are value types; passes build
 // new instruction slices rather than mutating shared instructions.
+//
+// The layout keeps the common case small: an assignment's fields are
+// inline, while a branch condition — at most one per block — lives behind
+// a pointer. That keeps Instr at 136 bytes instead of 304, which is what
+// every instruction slice, clone and cached graph pays per instruction.
 type Instr struct {
 	Kind InstrKind
 
@@ -35,14 +40,21 @@ type Instr struct {
 	// Out fields.
 	Args []Operand
 
-	// Cond fields. Each side is a term with at most one operator, so a
-	// full condition such as "x+z > y+i" carries up to three operators,
-	// exactly as the paper draws it (Figure 4). The initialization phase
-	// lifts non-trivial sides into temporaries (Figure 12), and the final
-	// flush may inline them back (Figure 15).
-	CondOp Op
-	CondL  Term
-	CondR  Term
+	// Cond is the branch condition of a KindCond instruction (nil
+	// otherwise). It is immutable and shared by every copy of the
+	// instruction — Graph.Clone copies the pointer — so code must never
+	// write through it: build a replacement with NewCond instead.
+	Cond *Cond
+}
+
+// Cond is a branch condition "L Op R". Each side is a term with at most
+// one operator, so a full condition such as "x+z > y+i" carries up to
+// three operators, exactly as the paper draws it (Figure 4). The
+// initialization phase lifts non-trivial sides into temporaries
+// (Figure 12), and the final flush may inline them back (Figure 15).
+type Cond struct {
+	Op   Op
+	L, R Term
 }
 
 // Skip returns the empty statement.
@@ -68,7 +80,7 @@ func NewCond(op Op, l, r Term) Instr {
 	if !op.IsRel() {
 		panic(fmt.Sprintf("ir: %q is not a relational operator", op))
 	}
-	return Instr{Kind: KindCond, CondOp: op, CondL: l, CondR: r}
+	return Instr{Kind: KindCond, Cond: &Cond{Op: op, L: l, R: r}}
 }
 
 // Pattern returns the assignment pattern of an assignment instruction.
@@ -94,8 +106,8 @@ func (in Instr) Uses(dst []Var) []Var {
 			}
 		}
 	case KindCond:
-		dst = in.CondL.Vars(dst)
-		dst = in.CondR.Vars(dst)
+		dst = in.Cond.L.Vars(dst)
+		dst = in.Cond.R.Vars(dst)
 	}
 	return dst
 }
@@ -112,7 +124,7 @@ func (in Instr) UsesVar(v Var) bool {
 			}
 		}
 	case KindCond:
-		return in.CondL.UsesVar(v) || in.CondR.UsesVar(v)
+		return in.Cond.L.UsesVar(v) || in.Cond.R.UsesVar(v)
 	}
 	return false
 }
@@ -138,26 +150,38 @@ func (in Instr) Terms(dst []Term) []Term {
 	case KindAssign:
 		dst = append(dst, in.RHS)
 	case KindCond:
-		dst = append(dst, in.CondL, in.CondR)
+		dst = append(dst, in.Cond.L, in.Cond.R)
 	}
 	return dst
 }
 
 // Key returns the canonical spelling of the instruction.
-func (in Instr) Key() string {
+func (in Instr) Key() string { return string(in.AppendKey(nil)) }
+
+// AppendKey appends the canonical spelling of the instruction (Key) to
+// dst. It is the instruction half of the canonical block serialization
+// behind Encode and Fingerprint.
+func (in Instr) AppendKey(dst []byte) []byte {
 	switch in.Kind {
 	case KindSkip:
-		return "skip"
+		return append(dst, "skip"...)
 	case KindAssign:
-		return string(in.LHS) + ":=" + in.RHS.Key()
+		dst = append(dst, in.LHS...)
+		dst = append(dst, ":="...)
+		return in.RHS.AppendKey(dst)
 	case KindOut:
-		parts := make([]string, len(in.Args))
+		dst = append(dst, "out("...)
 		for i, o := range in.Args {
-			parts[i] = o.Key()
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = o.AppendKey(dst)
 		}
-		return "out(" + strings.Join(parts, ",") + ")"
+		return append(dst, ')')
 	case KindCond:
-		return in.CondL.Key() + string(in.CondOp) + in.CondR.Key()
+		dst = in.Cond.L.AppendKey(dst)
+		dst = append(dst, in.Cond.Op...)
+		return in.Cond.R.AppendKey(dst)
 	}
 	panic("ir: unknown instruction kind")
 }
@@ -183,7 +207,7 @@ func (in Instr) Equal(o Instr) bool {
 		}
 		return true
 	case KindCond:
-		return in.CondOp == o.CondOp && in.CondL.Equal(o.CondL) && in.CondR.Equal(o.CondR)
+		return in.Cond == o.Cond || *in.Cond == *o.Cond
 	}
 	return false
 }
@@ -202,7 +226,7 @@ func (in Instr) String() string {
 		}
 		return "out(" + strings.Join(parts, ", ") + ")"
 	case KindCond:
-		return fmt.Sprintf("if %s %s %s", in.CondL, in.CondOp, in.CondR)
+		return fmt.Sprintf("if %s %s %s", in.Cond.L, in.Cond.Op, in.Cond.R)
 	}
 	return "<invalid>"
 }

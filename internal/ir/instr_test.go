@@ -3,6 +3,7 @@ package ir
 import (
 	"reflect"
 	"testing"
+	"unsafe"
 )
 
 func TestSelfAssignIsSkip(t *testing.T) {
@@ -108,5 +109,15 @@ func TestInstrTerms(t *testing.T) {
 	}
 	if terms := NewOut(VarOp("x")).Terms(nil); len(terms) != 0 {
 		t.Errorf("out terms = %v", terms)
+	}
+}
+
+// TestInstrSize pins the instruction layout: the branch condition lives
+// behind a pointer, so Instr is at most 136 bytes (304 with the condition
+// inline). Every instruction slice, clone and cached graph pays this per
+// instruction.
+func TestInstrSize(t *testing.T) {
+	if got := unsafe.Sizeof(Instr{}); got > 136 {
+		t.Errorf("unsafe.Sizeof(Instr{}) = %d, want <= 136", got)
 	}
 }

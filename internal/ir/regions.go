@@ -3,6 +3,7 @@ package ir
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"hash"
 	"strconv"
 
 	"assignmentmotion/internal/dataflow"
@@ -40,6 +41,12 @@ func (rs *RegionSet) Len() int { return len(rs.Regions) }
 // (one block with predecessors outside the region, or the graph entry);
 // a lone multi-entry component still forms its own region.
 func Regionize(g *Graph, target int) *RegionSet {
+	order, _ := g.canonicalOrder()
+	return regionize(g, target, order)
+}
+
+// regionize is Regionize over a precomputed canonical order.
+func regionize(g *Graph, target int, order []*Block) *RegionSet {
 	if target <= 0 {
 		target = DefaultRegionTarget
 	}
@@ -49,7 +56,6 @@ func Regionize(g *Graph, target int) *RegionSet {
 		return rs
 	}
 
-	order, _ := g.canonicalOrder()
 	// Canonical-index adjacency: cpos[id] is the canonical position of
 	// block id, csuccs positions mirror successor order.
 	cpos := make([]int, n)
@@ -184,23 +190,38 @@ func (g *Graph) canonicalOrder() (order []*Block, rank []int) {
 
 // RegionDigests returns one hex digest per region of the canonical
 // decomposition: the region's blocks serialized exactly as Encode would
-// (writeBlocksCanon) under canonical rank names, in canonical order.
+// (appendBlockCanon) under canonical rank names, in canonical order.
 // Fingerprint composes from these, so the concatenation of region
 // serializations carries the same information as the whole-graph
 // traversal did before the split.
 func (g *Graph) RegionDigests() (*RegionSet, []string) {
-	rs := Regionize(g, 0)
-	_, rank := g.canonicalOrder()
-	name := func(id NodeID) string { return "n" + strconv.Itoa(rank[id]) }
+	order, rank := g.canonicalOrder()
+	rs := regionize(g, 0, order)
+	sums := g.regionSums(sha256.New(), rs, rank)
 	digests := make([]string, rs.Len())
-	for i, region := range rs.Regions {
-		h := sha256.New()
-		blocks := make([]*Block, len(region))
-		for j, id := range region {
-			blocks[j] = g.Block(id)
-		}
-		writeBlocksCanon(h, blocks, name)
-		digests[i] = hex.EncodeToString(h.Sum(nil))
+	for i := range digests {
+		digests[i] = hex.EncodeToString(sums[i*sha256.Size : (i+1)*sha256.Size])
 	}
 	return rs, digests
+}
+
+// regionSums hashes each region's canonical serialization into h, which
+// it resets per region, writing the hash once per block from one reused
+// buffer. It returns the raw digests concatenated, sha256.Size bytes per
+// region.
+func (g *Graph) regionSums(h hash.Hash, rs *RegionSet, rank []int) []byte {
+	name := func(dst []byte, id NodeID) []byte {
+		return strconv.AppendInt(append(dst, 'n'), int64(rank[id]), 10)
+	}
+	sums := make([]byte, 0, rs.Len()*sha256.Size)
+	var buf []byte
+	for _, region := range rs.Regions {
+		h.Reset()
+		for _, id := range region {
+			buf = appendBlockCanon(buf[:0], g.Block(id), name)
+			h.Write(buf)
+		}
+		sums = h.Sum(sums)
+	}
+	return sums
 }

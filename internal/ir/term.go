@@ -78,6 +78,14 @@ func (o Operand) Key() string {
 	return string(o.Var)
 }
 
+// AppendKey appends the canonical spelling of the operand (Key) to dst.
+func (o Operand) AppendKey(dst []byte) []byte {
+	if o.IsConst {
+		return strconv.AppendInt(dst, o.Const, 10)
+	}
+	return append(dst, o.Var...)
+}
+
 // Equal reports structural equality.
 func (o Operand) Equal(p Operand) bool { return o == p }
 
@@ -147,6 +155,16 @@ func (t Term) Key() string {
 		return t.Args[0].Key()
 	}
 	return t.Args[0].Key() + string(t.Op) + t.Args[1].Key()
+}
+
+// AppendKey appends the canonical spelling of t (Key) to dst.
+func (t Term) AppendKey(dst []byte) []byte {
+	dst = t.Args[0].AppendKey(dst)
+	if t.Trivial() {
+		return dst
+	}
+	dst = append(dst, t.Op...)
+	return t.Args[1].AppendKey(dst)
 }
 
 // Equal reports structural equality.

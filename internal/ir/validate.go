@@ -115,13 +115,16 @@ func (g *Graph) validateInstr(b *Block, in Instr) error {
 		}
 		return checkTerm(in.RHS)
 	case KindCond:
-		if !in.CondOp.IsRel() {
-			return fmt.Errorf("block %s: condition with non-relational operator %q", b.Name, in.CondOp)
+		if in.Cond == nil {
+			return fmt.Errorf("block %s: condition instruction without a condition", b.Name)
 		}
-		if err := checkTerm(in.CondL); err != nil {
+		if !in.Cond.Op.IsRel() {
+			return fmt.Errorf("block %s: condition with non-relational operator %q", b.Name, in.Cond.Op)
+		}
+		if err := checkTerm(in.Cond.L); err != nil {
 			return err
 		}
-		return checkTerm(in.CondR)
+		return checkTerm(in.Cond.R)
 	case KindOut:
 		for _, o := range in.Args {
 			if !o.IsConst && IsTempName(o.Var) && !g.IsTemp(o.Var) {

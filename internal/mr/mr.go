@@ -473,14 +473,14 @@ func replaceExpr(in ir.Instr, from, to ir.Term) ir.Instr {
 			return ir.NewAssign(in.LHS, to)
 		}
 	case ir.KindCond:
-		l, r := in.CondL, in.CondR
+		l, r := in.Cond.L, in.Cond.R
 		if l.Equal(from) {
 			l = to
 		}
 		if r.Equal(from) {
 			r = to
 		}
-		return ir.NewCond(in.CondOp, l, r)
+		return ir.NewCond(in.Cond.Op, l, r)
 	}
 	return in
 }

@@ -54,7 +54,7 @@ func TestParseRunningExample(t *testing.T) {
 	if !ok {
 		t.Fatal("b2 has no condition")
 	}
-	if cond.CondL.Key() != "x+z" || cond.CondOp != ir.OpGT || cond.CondR.Key() != "y+i" {
+	if cond.Cond.L.Key() != "x+z" || cond.Cond.Op != ir.OpGT || cond.Cond.R.Key() != "y+i" {
 		t.Errorf("cond = %v", cond)
 	}
 	if g.Block(b2.Succs[0]).Name != "b3" || g.Block(b2.Succs[1]).Name != "b4" {

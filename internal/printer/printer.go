@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync"
 
 	"assignmentmotion/internal/ir"
 )
@@ -14,58 +15,84 @@ import (
 // Fprint writes g in .fg syntax to w. The output parses back (with
 // AllowTemps) to a graph with the same Encode() value.
 func Fprint(w io.Writer, g *ir.Graph) error {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "graph %s {\n", g.Name)
-	fmt.Fprintf(&sb, "  entry %s\n", g.EntryBlock().Name)
-	fmt.Fprintf(&sb, "  exit %s\n", g.ExitBlock().Name)
+	bp := bufPool.Get().(*[]byte)
+	defer bufPool.Put(bp)
+	*bp = appendGraph((*bp)[:0], g)
+	_, err := w.Write(*bp)
+	return err
+}
+
+// String renders g in .fg syntax. Rendering goes through a pooled
+// buffer, so the only allocation is the returned string, whatever the
+// size of the graph.
+func String(g *ir.Graph) string {
+	bp := bufPool.Get().(*[]byte)
+	defer bufPool.Put(bp)
+	*bp = appendGraph((*bp)[:0], g)
+	return string(*bp)
+}
+
+// bufPool holds the render buffers of Fprint and String.
+var bufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// appendGraph appends g in .fg syntax to dst and returns the extended
+// slice.
+func appendGraph(dst []byte, g *ir.Graph) []byte {
+	dst = append(append(dst, "graph "...), g.Name...)
+	dst = append(append(dst, " {\n  entry "...), g.EntryBlock().Name...)
+	dst = append(append(dst, "\n  exit "...), g.ExitBlock().Name...)
+	dst = append(dst, '\n')
 	for _, b := range g.Blocks {
-		fmt.Fprintf(&sb, "  block %s {\n", b.Name)
-		for _, in := range b.Instrs {
+		dst = append(append(dst, "  block "...), b.Name...)
+		dst = append(dst, " {\n"...)
+		for k := range b.Instrs {
+			in := &b.Instrs[k]
 			switch in.Kind {
 			case ir.KindSkip:
 				// A lone skip keeps otherwise-empty blocks parseable;
 				// skips next to real instructions are not printed.
 				if len(b.Instrs) == 1 {
-					sb.WriteString("    skip\n")
+					dst = append(dst, "    skip\n"...)
 				}
 			case ir.KindAssign:
-				fmt.Fprintf(&sb, "    %s := %s\n", in.LHS, formatTerm(in.RHS))
+				dst = append(append(dst, "    "...), in.LHS...)
+				dst = appendTerm(append(dst, " := "...), in.RHS)
+				dst = append(dst, '\n')
 			case ir.KindOut:
-				args := make([]string, len(in.Args))
+				dst = append(dst, "    out("...)
 				for i, o := range in.Args {
-					args[i] = o.Key()
+					if i > 0 {
+						dst = append(dst, ", "...)
+					}
+					dst = o.AppendKey(dst)
 				}
-				fmt.Fprintf(&sb, "    out(%s)\n", strings.Join(args, ", "))
+				dst = append(dst, ")\n"...)
 			case ir.KindCond:
-				fmt.Fprintf(&sb, "    if %s %s %s then %s else %s\n",
-					formatTerm(in.CondL), in.CondOp, formatTerm(in.CondR),
-					g.Block(b.Succs[0]).Name, g.Block(b.Succs[1]).Name)
+				dst = appendTerm(append(dst, "    if "...), in.Cond.L)
+				dst = append(append(append(dst, ' '), in.Cond.Op...), ' ')
+				dst = appendTerm(dst, in.Cond.R)
+				dst = append(append(dst, " then "...), g.Block(b.Succs[0]).Name...)
+				dst = append(append(dst, " else "...), g.Block(b.Succs[1]).Name...)
+				dst = append(dst, '\n')
 			}
 		}
 		if _, hasCond := b.Cond(); !hasCond && len(b.Succs) == 1 {
-			fmt.Fprintf(&sb, "    goto %s\n", g.Block(b.Succs[0]).Name)
+			dst = append(append(dst, "    goto "...), g.Block(b.Succs[0]).Name...)
+			dst = append(dst, '\n')
 		}
-		sb.WriteString("  }\n")
+		dst = append(dst, "  }\n"...)
 	}
-	sb.WriteString("}\n")
-	_, err := io.WriteString(w, sb.String())
-	return err
+	return append(dst, "}\n"...)
 }
 
-// String renders g in .fg syntax.
-func String(g *ir.Graph) string {
-	var sb strings.Builder
-	if err := Fprint(&sb, g); err != nil {
-		panic(err) // strings.Builder never errors
-	}
-	return sb.String()
-}
-
-func formatTerm(t ir.Term) string {
+// appendTerm appends t in source syntax: "a", "3", or "a + b".
+func appendTerm(dst []byte, t ir.Term) []byte {
+	dst = t.Args[0].AppendKey(dst)
 	if t.Trivial() {
-		return t.Args[0].Key()
+		return dst
 	}
-	return fmt.Sprintf("%s %s %s", t.Args[0].Key(), t.Op, t.Args[1].Key())
+	dst = append(append(append(dst, ' '), t.Op...), ' ')
+	return t.Args[1].AppendKey(dst)
 }
 
 // Dot renders g as a Graphviz digraph. Blocks become record-shaped nodes

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"assignmentmotion/internal/cfggen"
 	"assignmentmotion/internal/ir"
 	"assignmentmotion/internal/parse"
 )
@@ -141,5 +142,22 @@ func TestPrintLoneSkipBlock(t *testing.T) {
 	}
 	if g.Encode() != g2.Encode() {
 		t.Error("skip round trip failed")
+	}
+}
+
+// TestStringAllocsFlat is the printer's allocation gate: rendering goes
+// through a pooled buffer, so String allocates only its result, however
+// large the graph.
+func TestStringAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops buffers at random under -race")
+	}
+	allocs := func(g *ir.Graph) float64 {
+		return testing.AllocsPerRun(20, func() { String(g) })
+	}
+	small := allocs(cfggen.Structured(1, cfggen.Config{Size: 8}))
+	large := allocs(cfggen.Structured(1, cfggen.Config{Size: 300}))
+	if small != 1 || large != 1 {
+		t.Errorf("String allocates %.0f on a small graph and %.0f on a large one, want 1 each", small, large)
 	}
 }
